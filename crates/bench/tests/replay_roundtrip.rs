@@ -262,3 +262,33 @@ fn node_config_rebuild_is_lossless() {
     let s = SmiConfig::disabled();
     assert_eq!(SmiConfig::decode(&s.encode()).unwrap(), s);
 }
+
+/// `sched.granularity_ns 0` is a legal replay value meaning "no
+/// granularity bound", like 1: such a file decodes, and its trial runs
+/// through periodic admission instead of dividing by zero — for the
+/// admission-disabled miss-rate shape and for the cluster shape, whose
+/// shards admit under the hyperperiod simulation. Neither preset's
+/// periods are bound by its own granularity (1 ns and 100 ns), so the
+/// zeroed trial reproduces the original outcome exactly.
+#[test]
+fn zero_granularity_scenario_decodes_and_runs() {
+    for sc in [
+        Scenario::missrate(Platform::Phi, 1_000_000, 500_000, 20, 5),
+        Scenario::cluster(2, 4, 40, nautix_cluster::PlacementStrategy::BestFit, 13),
+    ] {
+        let text = sc.to_replay_string();
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("sched.granularity_ns "))
+            .expect("codec emits the granularity line");
+        let zeroed = text.replace(line, "sched.granularity_ns 0");
+        let replayed = Scenario::from_replay_string(&zeroed).unwrap();
+        assert_eq!(replayed.sched.granularity_ns, 0);
+        assert_eq!(
+            replayed.run_fresh().unwrap(),
+            sc.run_fresh().unwrap(),
+            "`{}`",
+            sc.name
+        );
+    }
+}

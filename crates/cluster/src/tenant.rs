@@ -24,8 +24,11 @@ use nautix_des::{DetRng, Nanos};
 use nautix_kernel::Constraints;
 
 /// Harmonic period palette, ns. Harmonic periods keep every per-CPU
-/// hyperperiod at most [`PERIODS_NS`]'s maximum, so even memo *misses*
-/// simulate a bounded window.
+/// hyperperiod at most [`PERIODS_NS`]'s maximum, and with the utilization
+/// palette and the 79% periodic budget every set a shard probes stays
+/// under utilization 1 with overhead, so memo misses are proven feasible
+/// in closed form (`nautix_rt::admission::liu_layland_feasible`) rather
+/// than simulated.
 pub const PERIODS_NS: [Nanos; 5] = [1_000_000, 2_000_000, 4_000_000, 8_000_000, 16_000_000];
 
 /// Per-member utilization palette, ppm of one CPU.

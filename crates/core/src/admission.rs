@@ -28,10 +28,13 @@
 //! path, the ledger is *incremental*: the periodic utilization sum is
 //! maintained on every admit/release instead of rescanned, and
 //! hyperperiod-simulation verdicts are memoized in a per-node [`SimCache`]
-//! keyed by [`nautix_kernel::task_set_signature`]. The
+//! keyed by [`nautix_kernel::task_set_signature`]. A memo miss first tries
+//! [`liu_layland_feasible`], the exact integer form of the EDF utilization
+//! theorem over the hyperperiod, and runs [`simulate_edf_feasible`] only
+//! when that cannot prove the set feasible (over 1, or overflow). The
 //! [`AdmissionEngine::Fresh`] escape hatch (env: `NAUTIX_ADMISSION=fresh`)
-//! recomputes everything from scratch; the differential test suite pins
-//! the two engines verdict- and sum-identical.
+//! recomputes everything from scratch and always simulates; the
+//! differential test suite pins the two engines verdict- and sum-identical.
 
 use crate::stats::AdmissionStats;
 use nautix_des::Nanos;
@@ -743,7 +746,7 @@ impl CpuLoad {
             Constraints::Periodic { period, slice, .. } => {
                 if period < cfg.min_period_ns
                     || slice < cfg.min_slice_ns
-                    || period % cfg.granularity_ns != 0 && cfg.granularity_ns > 1
+                    || cfg.granularity_ns > 1 && period % cfg.granularity_ns != 0
                 {
                     return Err(AdmissionError::TooFine);
                 }
@@ -831,7 +834,10 @@ impl CpuLoad {
     /// incremental engine. The simulation input stays in ledger order (the
     /// verdict is permutation-invariant, so the unsorted set and the
     /// sorted canonical key yield the same answer); the canonical sorted
-    /// copy exists only as the cache key.
+    /// copy exists only as the cache key. On a memo miss the incremental
+    /// engine first tries [`liu_layland_feasible`] and simulates only when
+    /// it cannot prove the set feasible; a proven verdict is still counted,
+    /// cached and probed as a miss, so the counters match the simulation.
     fn sim_feasible(
         &mut self,
         engine: AdmissionEngine,
@@ -863,7 +869,11 @@ impl CpuLoad {
                 return feasible;
             }
         }
-        let feasible = simulate_edf_feasible(set, overhead_ns, window_cap_ns);
+        let feasible = match engine {
+            AdmissionEngine::Incremental => liu_layland_feasible(set, overhead_ns)
+                .unwrap_or_else(|| simulate_edf_feasible(set, overhead_ns, window_cap_ns)),
+            AdmissionEngine::Fresh => simulate_edf_feasible(set, overhead_ns, window_cap_ns),
+        };
         if let Some(cache) = &cache {
             cache
                 .borrow_mut()
@@ -999,14 +1009,45 @@ pub fn simulate_edf_feasible(
     }
 }
 
-fn hyperperiod(periods: impl Iterator<Item = Nanos>) -> Nanos {
-    fn gcd(a: u64, b: u64) -> u64 {
-        if b == 0 {
-            a
-        } else {
-            gcd(b, a % b)
+/// Exact closed-form stand-in for [`simulate_edf_feasible`]: `Some(true)`
+/// when the set is provably feasible, `None` when the simulation must
+/// decide.
+///
+/// For synchronous, implicit-deadline periodic sets, preemptive EDF on one
+/// CPU meets every deadline exactly when `Σ (sliceᵢ + overhead) / periodᵢ
+/// ≤ 1` (Liu & Layland 1973). The test is done in integers over the
+/// hyperperiod `H`: `Σ (sliceᵢ + overhead) · (H / periodᵢ) ≤ H`, so no
+/// rounding can admit a set the simulation would reject; a window cap
+/// below `H` only shortens the simulated prefix, which cannot turn a
+/// feasible set infeasible. Any overflow (of `H` in `u64` or of the demand
+/// in `u128`), a zero period, and every over-1 set return `None`: an
+/// over-1 set may still pass a capped window, so only the simulation can
+/// answer it.
+pub fn liu_layland_feasible(set: &[(Nanos, Nanos)], overhead_ns: Nanos) -> Option<bool> {
+    let mut h: u64 = 1;
+    for &(p, _) in set {
+        if p == 0 {
+            return None;
         }
+        h = (h / gcd(h, p)).checked_mul(p)?;
     }
+    let mut demand: u128 = 0;
+    for &(p, s) in set {
+        let job = s as u128 + overhead_ns as u128;
+        demand = demand.checked_add(job.checked_mul((h / p) as u128)?)?;
+    }
+    (demand <= h as u128).then_some(true)
+}
+
+fn gcd(a: u64, b: u64) -> u64 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+fn hyperperiod(periods: impl Iterator<Item = Nanos>) -> Nanos {
     periods.fold(1u64, |acc, p| {
         let g = gcd(acc, p);
         (acc / g).saturating_mul(p)
@@ -1160,6 +1201,28 @@ mod tests {
     }
 
     #[test]
+    fn zero_and_unit_granularity_impose_no_grid() {
+        // 0 and 1 both mean "no granularity bound": an off-grid period
+        // admits instead of dividing by zero, with admission on or off.
+        for granularity_ns in [0, 1] {
+            for admission_enabled in [true, false] {
+                let mut c = cfg();
+                c.granularity_ns = granularity_ns;
+                c.admission_enabled = admission_enabled;
+                let mut load = CpuLoad::new();
+                load.admit(&c, &Constraints::periodic(100_007, 10_000).build())
+                    .unwrap();
+                assert_eq!(load.periodic_count(), 1);
+            }
+        }
+        // The default 100 ns grid still rejects the same period.
+        assert_eq!(
+            CpuLoad::new().admit(&cfg(), &Constraints::periodic(100_007, 10_000).build()),
+            Err(AdmissionError::TooFine)
+        );
+    }
+
+    #[test]
     fn disabled_admission_accepts_infeasible_rt() {
         let mut c = cfg();
         c.admission_enabled = false;
@@ -1203,6 +1266,44 @@ mod tests {
     #[test]
     fn hyperperiod_of_coprime_periods() {
         assert!(simulate_edf_feasible(&[(3, 1), (7, 2)], 0, 1_000));
+    }
+
+    #[test]
+    fn liu_layland_proves_the_densest_cluster_cpu() {
+        // The cluster palette's densest per-CPU set: 39 tasks at 1 ms and
+        // 2%, with the 2 µs modelled overhead — 85.8% with overhead.
+        let set = vec![(1_000_000, 20_000); 39];
+        assert_eq!(liu_layland_feasible(&set, 2_000), Some(true));
+        assert!(simulate_edf_feasible(&set, 2_000, 200_000_000));
+        // Exactly 100% with overhead, over non-harmonic periods.
+        let exact = [(10_000, 4_000), (15_000, 6_000), (6_000, 1_200)];
+        assert_eq!(liu_layland_feasible(&exact, 0), Some(true));
+        assert!(simulate_edf_feasible(&exact, 0, 1_000_000_000));
+        assert_eq!(liu_layland_feasible(&[], 5_000), Some(true));
+    }
+
+    #[test]
+    fn liu_layland_defers_over_one_and_overflowing_sets() {
+        // 5 + 9 µs of work per 10 µs period: over 1, left to the simulation.
+        assert_eq!(liu_layland_feasible(&[(10_000, 5_000)], 9_000), None);
+        assert!(!simulate_edf_feasible(
+            &[(10_000, 5_000)],
+            9_000,
+            1_000_000_000
+        ));
+        // One ns over 1.
+        assert_eq!(
+            liu_layland_feasible(&[(10_000, 5_000), (20_000, 10_001)], 0),
+            None
+        );
+        // Coprime near-u64::MAX periods overflow the hyperperiod; a slice
+        // at u64::MAX overflows nothing in u128 but is over 1.
+        assert_eq!(
+            liu_layland_feasible(&[(u64::MAX, 1), (u64::MAX - 1, 1)], 0),
+            None
+        );
+        assert_eq!(liu_layland_feasible(&[(u64::MAX, u64::MAX)], 1), None);
+        assert_eq!(liu_layland_feasible(&[(0, 0)], 0), None);
     }
 
     #[test]

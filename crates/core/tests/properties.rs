@@ -3,12 +3,13 @@
 //! simulation consistency, and calibration bounds.
 
 use nautix_kernel::{task_set_signature, AdmissionError, Constraints};
-use nautix_rt::admission::simulate_edf_feasible;
+use nautix_rt::admission::{liu_layland_feasible, simulate_edf_feasible};
 use nautix_rt::{
     compile_cyclic, AdmissionEngine, AdmissionPolicy, CpuLoad, CyclicTask, SchedConfig, SimCache,
     PPM,
 };
 use proptest::prelude::*;
+use proptest::TestRng;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -317,6 +318,133 @@ proptest! {
         // verdict: never served across models.
         prop_assert_eq!(cache.lookup(sa, &ka, overhead + 1, window), None);
         prop_assert_eq!(cache.lookup(sa, &ka, overhead, window / 2), None);
+    }
+}
+
+/// The shapes the Liu–Layland fast-path property draws from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FastPathShape {
+    /// Utilization with overhead exactly 1, over non-harmonic periods.
+    ExactlyOne,
+    /// Random slices near utilization 1, overhead up to the period.
+    NearOne,
+    /// The cluster palette: harmonic 1–16 ms periods, 2 µs overhead.
+    Harmonic,
+    /// Near-`u64::MAX` periods and slices: must overflow or exceed 1.
+    Huge,
+}
+
+/// One fast-path case drawn from `seed`: `(shape, set, overhead, window
+/// cap)`. The exactly-1 and near-1 shapes draw periods of 1–13 µs
+/// (coprime pairs included), so their full hyperperiods stay small
+/// enough to simulate. About half of all cases cap the window below the
+/// hyperperiod.
+fn fast_path_case(seed: u64) -> (FastPathShape, Vec<(u64, u64)>, u64, u64) {
+    let mut rng = TestRng::seed_from(seed);
+    let n = 1 + rng.below(5) as usize;
+    let units: Vec<u64> = (0..n).map(|_| 1 + rng.below(13)).collect();
+    let (shape, set, overhead) = match rng.below(4) {
+        0 => {
+            // Split 1000 shares among the tasks: each job costs
+            // `unit · share` per `unit · 1000` ns, summing to exactly 1.
+            let mut shares = vec![0u64; n];
+            for _ in 0..1_000 {
+                shares[rng.below(n as u64) as usize] += 1;
+            }
+            let costs: Vec<u64> = units.iter().zip(&shares).map(|(u, k)| u * k).collect();
+            let overhead = rng.below(costs.iter().min().unwrap() + 1);
+            let set = units
+                .iter()
+                .zip(&costs)
+                .map(|(u, c)| (u * 1_000, c - overhead))
+                .collect();
+            (FastPathShape::ExactlyOne, set, overhead)
+        }
+        1 => {
+            let set: Vec<(u64, u64)> = units
+                .iter()
+                .map(|u| (u * 1_000, rng.below(u * 1_000 / n as u64 + 1)))
+                .collect();
+            let min_period = set.iter().map(|&(p, _)| p).min().unwrap();
+            (FastPathShape::NearOne, set, rng.below(min_period + 1))
+        }
+        2 => {
+            let set = (0..n * 2)
+                .map(|_| {
+                    let period = 1_000_000 << rng.below(5);
+                    let util = [20_000, 50_000, 100_000, 200_000, 400_000][rng.below(5) as usize];
+                    (period, period * util / 1_000_000)
+                })
+                .collect();
+            (FastPathShape::Harmonic, set, 2_000)
+        }
+        _ => {
+            // Consecutive near-max periods are coprime, so two or more of
+            // them overflow the hyperperiod; a lone one is over 1 because
+            // its slice is within 2^20 of u64::MAX and the overhead is at
+            // least 2^20.
+            let set = (0..n as u64)
+                .map(|i| (u64::MAX - i, u64::MAX - rng.below(1 << 20)))
+                .collect();
+            let overhead = (1 << 20) + rng.below(u64::MAX - (1 << 20));
+            (FastPathShape::Huge, set, overhead)
+        }
+    };
+    let hyper = hyperperiod(&set).unwrap_or(u64::MAX);
+    let cap = if rng.below(2) == 0 {
+        hyper
+    } else {
+        1 + rng.below(hyper)
+    };
+    (shape, set, overhead, cap)
+}
+
+/// The set's hyperperiod, `None` past `u64::MAX`.
+fn hyperperiod(set: &[(u64, u64)]) -> Option<u64> {
+    fn gcd(a: u64, b: u64) -> u64 {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
+    }
+    set.iter()
+        .try_fold(1u64, |h, &(p, _)| (h / gcd(h, p)).checked_mul(p))
+}
+
+proptest! {
+    /// The Liu–Layland fast path never admits a set the reference
+    /// simulation rejects: whenever it proves a set feasible, the
+    /// simulation agrees under the same overhead and any window cap. It
+    /// fires on every exactly-1 set, not on one ns more, and never on
+    /// near-`u64::MAX` input, which it must turn away without an overflow
+    /// panic.
+    #[test]
+    fn liu_layland_fast_path_is_sound(seed in 0u64..u64::MAX) {
+        let (shape, set, overhead, cap) = fast_path_case(seed);
+        let fast = liu_layland_feasible(&set, overhead);
+        match shape {
+            FastPathShape::ExactlyOne => {
+                prop_assert_eq!(fast, Some(true), "{:?}", set);
+                // One ns more is over 1: never proven, and the full
+                // hyperperiod simulation rejects it.
+                let mut over = set.clone();
+                over[0].1 += 1;
+                prop_assert_eq!(liu_layland_feasible(&over, overhead), None, "{:?}", over);
+                if Some(cap) == hyperperiod(&set) {
+                    prop_assert!(!simulate_edf_feasible(&over, overhead, cap), "{:?}", over);
+                }
+            }
+            FastPathShape::Huge => prop_assert_eq!(fast, None, "{:?}", set),
+            FastPathShape::NearOne | FastPathShape::Harmonic => {}
+        }
+        if fast == Some(true) {
+            prop_assert!(
+                simulate_edf_feasible(&set, overhead, cap),
+                "fast path proved {:?} (overhead {}, cap {}) the simulation rejects",
+                set, overhead, cap
+            );
+        }
     }
 }
 
