@@ -27,6 +27,8 @@ use nautix_hw::CpuId;
 use nautix_kernel::{AdmissionError, Constraints, FixedHeap, RrQueue, ThreadId};
 #[cfg(feature = "trace")]
 use nautix_trace::{Record, TraceClass, TraceHandle, TraceOutcome};
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// `current_layer` value while the idle thread (or nothing yet) holds the
@@ -209,8 +211,14 @@ pub struct LocalScheduler {
     pending: FixedHeap<Nanos, ThreadId>,
     /// Arrived real-time jobs, keyed by absolute deadline.
     rt_run: FixedHeap<Nanos, ThreadId>,
-    /// Aperiodic threads, round-robin within priority.
+    /// Aperiodic threads, round-robin within priority. Changed only
+    /// through [`Self::edit_nonrt`].
     nonrt: RrQueue<ThreadId>,
+    /// How many CPUs hold a stealable backlog ([`Self::backlogged`]):
+    /// private to a standalone scheduler, shared by every CPU of a node
+    /// once the node installs its own counter with
+    /// [`Self::share_backlog_count`].
+    backlogged_cpus: Rc<Cell<usize>>,
     /// The running thread (the idle thread counts).
     pub current: ThreadId,
     /// This CPU's idle thread.
@@ -279,6 +287,7 @@ impl LocalScheduler {
             pending: FixedHeap::new(capacity),
             rt_run: FixedHeap::new(capacity),
             nonrt: RrQueue::new(capacity),
+            backlogged_cpus: Rc::new(Cell::new(0)),
             current: idle,
             idle,
             stats: CpuSchedStats::default(),
@@ -373,8 +382,8 @@ impl LocalScheduler {
                 });
             }
         } else {
-            self.nonrt
-                .push(st.aperiodic_priority(), tid)
+            let prio = st.aperiodic_priority();
+            self.edit_nonrt(|q| q.push(prio, tid))
                 .expect("nonrt overflow: capacity misconfigured");
         }
     }
@@ -407,14 +416,15 @@ impl LocalScheduler {
     /// aperiodic (not real-time)" until the phase-corrected anchor (§4.4).
     pub fn enqueue_nonrt(&mut self, tid: ThreadId, priority: u64) {
         debug_assert!(tid != self.idle);
-        self.nonrt.push(priority, tid).expect("nonrt overflow");
+        self.edit_nonrt(|q| q.push(priority, tid))
+            .expect("nonrt overflow");
     }
 
     /// Remove a thread from every queue (exit, migration, class change).
     pub fn dequeue(&mut self, tid: ThreadId) {
         self.pending.remove(tid);
         self.rt_run.remove(tid);
-        self.nonrt.remove(tid);
+        self.edit_nonrt(|q| q.remove(tid));
         #[cfg(feature = "trace")]
         self.emit(Record::Dequeued {
             cpu: self.cpu as u32,
@@ -436,7 +446,35 @@ impl LocalScheduler {
     /// Pop one queued aperiodic thread (the victim side of §3.4's
     /// power-of-two-choices stealing, when no bound-ness filter applies).
     pub fn steal_nonrt(&mut self) -> Option<ThreadId> {
-        self.nonrt.pop().map(|(_, t)| t)
+        self.edit_nonrt(|q| q.pop()).map(|(_, t)| t)
+    }
+
+    /// Whether this CPU holds a stealable backlog: at least two queued
+    /// aperiodic threads (one is about to run here; stealers take only
+    /// from longer queues).
+    pub(crate) fn backlogged(&self) -> bool {
+        self.nonrt.len() >= 2
+    }
+
+    /// Count this CPU in `count` (the node's shared backlogged-CPU
+    /// counter) from now on. Installed while the non-RT queue is empty,
+    /// so the CPU contributes nothing to either counter yet.
+    pub(crate) fn share_backlog_count(&mut self, count: Rc<Cell<usize>>) {
+        debug_assert!(self.nonrt.is_empty(), "backlog counter swapped mid-trial");
+        self.backlogged_cpus = count;
+    }
+
+    /// The one place the non-RT queue changes: apply `edit`, then move the
+    /// backlogged-CPU count when the queue crossed the backlog threshold.
+    fn edit_nonrt<R>(&mut self, edit: impl FnOnce(&mut RrQueue<ThreadId>) -> R) -> R {
+        let was = self.backlogged();
+        let out = edit(&mut self.nonrt);
+        let is = self.backlogged();
+        if was != is {
+            let n = self.backlogged_cpus.get();
+            self.backlogged_cpus.set(if is { n + 1 } else { n - 1 });
+        }
+        out
     }
 
     /// The queued aperiodic threads, front to back (steal-candidate
@@ -464,11 +502,11 @@ impl LocalScheduler {
         if self.pending.capacity() == capacity {
             self.pending.clear();
             self.rt_run.clear();
-            self.nonrt.clear();
+            self.edit_nonrt(|q| q.clear());
         } else {
             self.pending = FixedHeap::new(capacity);
             self.rt_run = FixedHeap::new(capacity);
-            self.nonrt = RrQueue::new(capacity);
+            self.edit_nonrt(|q| *q = RrQueue::new(capacity));
         }
         self.current = idle;
         self.idle = idle;
@@ -1016,15 +1054,15 @@ impl LocalScheduler {
                 });
             }
         } else {
-            self.nonrt
-                .push(st.aperiodic_priority(), tid)
+            let prio = st.aperiodic_priority();
+            self.edit_nonrt(|q| q.push(prio, tid))
                 .expect("nonrt overflow");
         }
     }
 
     fn dequeue_running(&mut self, tid: ThreadId) {
         self.rt_run.remove(tid);
-        self.nonrt.remove(tid);
+        self.edit_nonrt(|q| q.remove(tid));
     }
 
     /// Replenish the layer buckets when a window boundary has passed, then

@@ -54,7 +54,7 @@ use nautix_kernel::{
 };
 #[cfg(feature = "trace")]
 use nautix_trace::{Record, Sink, TraceHandle};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -502,6 +502,11 @@ pub struct Node {
     /// cache is a pure memo keyed on the full simulation input, so entries
     /// learned in earlier pooled trials stay valid across resets.
     sim_cache: Rc<RefCell<SimCache>>,
+    /// CPUs whose non-RT queue holds a stealable backlog, shared with
+    /// every [`LocalScheduler`] (which moves it whenever its queue crosses
+    /// the threshold). Zero lets an idle pass skip the O(n_cpus) search
+    /// for stealable work elsewhere.
+    backlogged_cpus: Rc<Cell<usize>>,
     steal_poll_armed: Vec<bool>,
     /// Threads blocked in WaitIrq, per irq line (FIFO), indexed by vector.
     irq_waiters: Vec<VecDeque<ThreadId>>,
@@ -556,6 +561,7 @@ impl Node {
         let mut sched = Vec::with_capacity(n);
         let per_cpu_cap = cfg.max_threads;
         let sim_cache = Rc::new(RefCell::new(SimCache::new()));
+        let backlogged_cpus = Rc::new(Cell::new(0));
         for cpu in 0..n {
             // The idle thread: a real table entry, never queued.
             let idle_tid = threads
@@ -573,6 +579,7 @@ impl Node {
             ts[idle_tid] = SchedThread::new_aperiodic();
             let mut ls = LocalScheduler::new(cpu, idle_tid, cfg.sched, freq, per_cpu_cap);
             ls.load.install_sim_cache(Rc::clone(&sim_cache));
+            ls.share_backlog_count(Rc::clone(&backlogged_cpus));
             sched.push(ls);
         }
         let cm = *machine.cost_model();
@@ -606,6 +613,7 @@ impl Node {
             ga_timings: Vec::new(),
             join_timings: Vec::new(),
             sim_cache,
+            backlogged_cpus,
             steal_poll_armed: vec![false; n],
             irq_waiters: (0..IRQ_LINES).map(|_| VecDeque::new()).collect(),
             zombies: (0..n).map(|_| Vec::new()).collect(),
@@ -700,8 +708,13 @@ impl Node {
         }
         // The per-CPU reset rebuilt each ledger from scratch; re-install
         // the node's memo so pooled trials keep reusing cached verdicts.
+        // Every run queue is empty now (schedulers dropped by the truncate
+        // never got to uncount themselves), so the backlog count restarts
+        // at zero and newly pushed schedulers join it.
+        self.backlogged_cpus.set(0);
         for s in &mut self.sched {
             s.load.install_sim_cache(Rc::clone(&self.sim_cache));
+            s.share_backlog_count(Rc::clone(&self.backlogged_cpus));
         }
         self.groups = GroupRegistry::new();
         self.steering = Steering::with_topology(cfg.laden, self.topo);
@@ -1522,6 +1535,11 @@ impl Node {
     }
 
     fn idle_behavior(&mut self, cpu: CpuId) {
+        debug_assert_eq!(
+            self.backlogged_cpus.get(),
+            self.sched.iter().filter(|s| s.backlogged()).count(),
+            "backlogged-CPU count out of step with the run queues"
+        );
         // 0. Thread-pool maintenance: reap this CPU's exited threads.
         self.reap(cpu);
         // 1. Work stealing (power-of-two-choices, aperiodic threads only).
@@ -1538,10 +1556,15 @@ impl Node {
             return;
         }
         // 3. Arm a steal retry poll if stealable work exists elsewhere.
-        if self.cfg_sched.work_stealing && !self.steal_poll_armed[cpu] {
+        // Stealable work needs a backlogged CPU, so a zero count skips the
+        // O(n_cpus) search; otherwise the search runs in full.
+        if self.cfg_sched.work_stealing
+            && !self.steal_poll_armed[cpu]
+            && self.backlogged_cpus.get() > 0
+        {
             let work_somewhere = (0..self.sched.len()).any(|c| {
                 c != cpu
-                    && self.sched[c].nonrt_len() > 1
+                    && self.sched[c].backlogged()
                     && self.sched[c]
                         .nonrt_iter()
                         .any(|t| !self.threads.expect(t).bound)
@@ -2678,6 +2701,40 @@ mod steal_tests {
         assert!(node.scheduler(1).nonrt_len() < 2, "queue never drained");
         assert_eq!(node.scheduler(0).stats.steals, 5);
         assert!(attempts <= 60, "attempts {attempts} out of band");
+    }
+
+    #[test]
+    fn backlog_count_follows_the_run_queues() {
+        let scan = |n: &Node| n.sched.iter().filter(|s| s.backlogged()).count();
+        let mut node = small_node(3);
+        assert_eq!(node.backlogged_cpus.get(), 0);
+        node.spawn_unbound(1, "w", Box::new(IdleLoop::new(1)))
+            .unwrap();
+        // One queued thread is about to run; it is not a backlog.
+        assert_eq!(node.backlogged_cpus.get(), 0);
+        for _ in 0..3 {
+            node.spawn_unbound(1, "w", Box::new(IdleLoop::new(1)))
+                .unwrap();
+        }
+        assert_eq!(node.backlogged_cpus.get(), 1);
+        // Steals move threads to CPU 0: CPU 1 drops out of the count as
+        // CPU 0 joins it.
+        while node.scheduler(1).backlogged() {
+            node.try_steal(0);
+            assert_eq!(node.backlogged_cpus.get(), scan(&node));
+        }
+        assert!(node.scheduler(0).backlogged());
+        assert_eq!(node.backlogged_cpus.get(), 1);
+        // A pooled reset empties every queue, dropped CPUs included.
+        let mut cfg = NodeConfig::for_machine(MachineConfig::phi().with_cpus(2));
+        cfg.calib_rounds = 0;
+        node.reset(cfg);
+        assert_eq!(node.backlogged_cpus.get(), 0);
+        for _ in 0..2 {
+            node.spawn_unbound(1, "w", Box::new(IdleLoop::new(1)))
+                .unwrap();
+        }
+        assert_eq!(node.backlogged_cpus.get(), 1);
     }
 
     #[test]

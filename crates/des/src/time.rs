@@ -6,7 +6,9 @@
 //! the two appear on every hot path. Conversions use 128-bit intermediates
 //! and are exact up to the stated rounding direction; a 64-bit nanosecond
 //! counter does not overflow for the lifetime of a machine (the paper makes
-//! the same observation).
+//! the same observation). A result past `u64::MAX` saturates there rather
+//! than wrapping, so an out-of-range span reads as "forever" and trips the
+//! simulator's time-overflow checks instead of aliasing a short one.
 
 /// A point in (or span of) simulation time measured in machine cycles.
 pub type Cycles = u64;
@@ -58,28 +60,36 @@ impl Freq {
 
     /// Convert a cycle count to nanoseconds, rounding down.
     ///
-    /// `ns = cycles * 1e6 / khz`, computed in 128-bit arithmetic.
+    /// `ns = cycles * 1e6 / khz`, computed in 128-bit arithmetic and
+    /// saturating at `u64::MAX` (reachable only below 1 GHz).
     pub fn cycles_to_ns(&self, cycles: Cycles) -> Nanos {
-        ((cycles as u128) * 1_000_000 / self.khz as u128) as u64
+        saturate((cycles as u128) * 1_000_000 / self.khz as u128)
     }
 
-    /// Convert nanoseconds to a cycle count, rounding down.
+    /// Convert nanoseconds to a cycle count, rounding down and saturating
+    /// at `u64::MAX`.
     pub fn ns_to_cycles(&self, ns: Nanos) -> Cycles {
-        ((ns as u128) * self.khz as u128 / 1_000_000) as u64
+        saturate((ns as u128) * self.khz as u128 / 1_000_000)
     }
 
     /// Convert nanoseconds to a cycle count, rounding up.
     ///
     /// Used where a *conservative* (never-late) duration is required, e.g.
-    /// for slice budgets.
+    /// for slice budgets. Saturates at `u64::MAX`.
     pub fn ns_to_cycles_ceil(&self, ns: Nanos) -> Cycles {
-        ((ns as u128) * self.khz as u128).div_ceil(1_000_000) as u64
+        saturate(((ns as u128) * self.khz as u128).div_ceil(1_000_000))
     }
 
     /// Convert microseconds to cycles, rounding down.
     pub fn us_to_cycles(&self, us: u64) -> Cycles {
         self.ns_to_cycles(us * 1000)
     }
+}
+
+/// Narrow a 128-bit conversion result, clamping at `u64::MAX`.
+#[inline]
+fn saturate(x: u128) -> u64 {
+    u64::try_from(x).unwrap_or(u64::MAX)
 }
 
 /// Convenience constructors for nanosecond quantities.
@@ -132,6 +142,43 @@ mod tests {
         let century_ns: u64 = 100 * 365 * 24 * 3600 * 1_000_000_000u64;
         let c = f.ns_to_cycles(century_ns / 1_000_000_000 * 1_000_000_000);
         assert!(c > 0);
+    }
+
+    #[test]
+    fn conversions_saturate_at_the_u64_boundary() {
+        for f in [Freq::phi(), Freq::r415()] {
+            let khz = f.khz() as u128;
+            // The largest ns whose floor conversion still fits in u64.
+            let last = ((u64::MAX as u128 + 1) * 1_000_000 - 1) / khz;
+            let last = last as u64;
+            assert_eq!(
+                f.ns_to_cycles(last) as u128,
+                last as u128 * khz / 1_000_000,
+                "{f:?}: last in-range floor conversion must be exact"
+            );
+            assert_eq!(f.ns_to_cycles(last + 1), u64::MAX, "{f:?}");
+            assert_eq!(f.ns_to_cycles(u64::MAX), u64::MAX, "{f:?}");
+            // The largest ns whose ceiling conversion still fits.
+            let last_ceil = (u64::MAX as u128 * 1_000_000 / khz) as u64;
+            assert_eq!(
+                f.ns_to_cycles_ceil(last_ceil) as u128,
+                (last_ceil as u128 * khz).div_ceil(1_000_000),
+                "{f:?}: last in-range ceiling conversion must be exact"
+            );
+            assert_eq!(f.ns_to_cycles_ceil(last_ceil + 1), u64::MAX, "{f:?}");
+            assert_eq!(f.ns_to_cycles_ceil(u64::MAX), u64::MAX, "{f:?}");
+            // Above 1 GHz a cycle count always fits in nanoseconds.
+            assert_eq!(
+                f.cycles_to_ns(u64::MAX) as u128,
+                u64::MAX as u128 * 1_000_000 / khz,
+                "{f:?}"
+            );
+        }
+        // Below 1 GHz a long cycle count outgrows nanoseconds.
+        let slow = Freq::from_mhz(500);
+        assert_eq!(slow.cycles_to_ns(u64::MAX / 2), u64::MAX - 1);
+        assert_eq!(slow.cycles_to_ns(u64::MAX / 2 + 1), u64::MAX);
+        assert_eq!(slow.cycles_to_ns(u64::MAX), u64::MAX);
     }
 
     #[test]

@@ -25,6 +25,18 @@
 //! occupancy bitmaps (4 × u64) make "first non-empty slot" four word
 //! scans.
 //!
+//! # Finding the next instant
+//!
+//! The earliest pending time lies in the first occupied slot of the lowest
+//! non-empty level (or, with the wheels empty, in the overflow list), but
+//! a level-1..3 slot list and the overflow list are not sorted. Each list
+//! therefore caches its exact minimum, or "unknown": `link` lowers a known
+//! minimum (and sets it when the list was empty), and unlinking an event
+//! at the cached minimum marks it unknown. Recomputing the next instant
+//! walks a list only when its cache is unknown, and then stores what it
+//! found, so a list is walked at most once between two removals of its
+//! minimum instead of on every pop.
+//!
 //! # Cascades
 //!
 //! Advancing the clock from `old` to `t` cascades, for each level whose
@@ -105,6 +117,10 @@ pub struct WheelQueue<E> {
     /// [`clear`]: Self::clear
     heads: Vec<u32>,
     tails: Vec<u32>,
+    /// Per list (same indexing as `heads`): the exact minimum time on it,
+    /// or `None` when unknown. Meaningless for an empty list; `link` into
+    /// an empty list resets it.
+    list_min: Vec<Option<Cycles>>,
     /// Per-level slot-occupancy bitmaps.
     occ: [[u64; WORDS]; LEVELS],
     /// Pending events (all levels + overflow).
@@ -112,8 +128,6 @@ pub struct WheelQueue<E> {
     /// Exact earliest pending timestamp; `None` when empty. Kept eagerly
     /// so `peek_time`/`is_empty` stay pure `&self` reads.
     cached_next: Option<Cycles>,
-    /// Earliest timestamp in the overflow list; `None` when it is empty.
-    overflow_min: Option<Cycles>,
     now: Cycles,
     popped: u64,
 }
@@ -132,10 +146,10 @@ impl<E> WheelQueue<E> {
             free: Vec::new(),
             heads: vec![NIL; LEVELS * SLOTS + 1],
             tails: vec![NIL; LEVELS * SLOTS + 1],
+            list_min: vec![None; LEVELS * SLOTS + 1],
             occ: [[0; WORDS]; LEVELS],
             len: 0,
             cached_next: None,
-            overflow_min: None,
             now: 0,
             popped: 0,
         }
@@ -160,10 +174,10 @@ impl<E> WheelQueue<E> {
         self.free.clear();
         self.heads.fill(NIL);
         self.tails.fill(NIL);
+        self.list_min.fill(None);
         self.occ = [[0; WORDS]; LEVELS];
         self.len = 0;
         self.cached_next = None;
-        self.overflow_min = None;
         self.now = 0;
         self.popped = 0;
     }
@@ -236,13 +250,9 @@ impl<E> WheelQueue<E> {
             return false;
         }
         let at = self.nodes[s].time;
-        let was_overflow = self.nodes[s].home == OVERFLOW;
         self.unlink(s as u32);
         self.retire(s);
         self.len -= 1;
-        if was_overflow && self.overflow_min == Some(at) {
-            self.overflow_min = self.scan_overflow_min();
-        }
         if self.cached_next == Some(at) {
             self.cached_next = self.recompute_next();
         }
@@ -380,22 +390,23 @@ impl<E> WheelQueue<E> {
             self.nodes[tail as usize].next = i;
         }
         self.tails[home as usize] = i;
-        if home == OVERFLOW {
-            if self.overflow_min.is_none_or(|m| at < m) {
-                self.overflow_min = Some(at);
-            }
-        } else {
+        let min = &mut self.list_min[home as usize];
+        if tail == NIL || min.is_some_and(|m| at < m) {
+            *min = Some(at);
+        }
+        if home != OVERFLOW {
             let (lvl, slot) = (home as usize / SLOTS, home as usize % SLOTS);
             self.occ[lvl][slot / 64] |= 1u64 << (slot % 64);
         }
     }
 
     /// Unlink node `i` from its list in O(1), clearing the occupancy bit
-    /// when the slot empties. Does not retire the node.
+    /// when the slot empties and forgetting the list's cached minimum when
+    /// `i` may have been the only event at it. Does not retire the node.
     fn unlink(&mut self, i: u32) {
-        let (home, prev, next) = {
+        let (home, prev, next, at) = {
             let n = &self.nodes[i as usize];
-            (n.home, n.prev, n.next)
+            (n.home, n.prev, n.next, n.time)
         };
         debug_assert_ne!(home, NIL, "unlinking a node that is not pending");
         if prev == NIL {
@@ -409,6 +420,9 @@ impl<E> WheelQueue<E> {
             self.nodes[next as usize].prev = prev;
         }
         self.nodes[i as usize].home = NIL;
+        if self.list_min[home as usize] == Some(at) {
+            self.list_min[home as usize] = None;
+        }
         if home != OVERFLOW && self.heads[home as usize] == NIL {
             let (lvl, slot) = (home as usize / SLOTS, home as usize % SLOTS);
             self.occ[lvl][slot / 64] &= !(1u64 << (slot % 64));
@@ -434,7 +448,7 @@ impl<E> WheelQueue<E> {
             return;
         }
         self.now = t;
-        if (t >> HORIZON_BITS) != (old >> HORIZON_BITS) && self.overflow_min.is_some() {
+        if (t >> HORIZON_BITS) != (old >> HORIZON_BITS) && self.heads[OVERFLOW as usize] != NIL {
             self.drain_overflow();
         }
         // Top-down, so each cascaded event settles in one hop: by the time
@@ -478,7 +492,6 @@ impl<E> WheelQueue<E> {
         let mut i = self.heads[OVERFLOW as usize];
         self.heads[OVERFLOW as usize] = NIL;
         self.tails[OVERFLOW as usize] = NIL;
-        self.overflow_min = None;
         while i != NIL {
             let next = self.nodes[i as usize].next;
             debug_assert!(
@@ -494,35 +507,36 @@ impl<E> WheelQueue<E> {
     /// first occupied slot on the lowest non-empty level bounds the
     /// minimum (level spans nest, so lower levels always hold earlier
     /// events), and the true minimum is the smallest time in that slot's
-    /// list. Falls back to the overflow minimum when the wheels are empty.
-    fn recompute_next(&self) -> Option<Cycles> {
+    /// list. Falls back to the overflow list when the wheels are empty.
+    fn recompute_next(&mut self) -> Option<Cycles> {
         for lvl in 0..LEVELS {
             for (w, &word) in self.occ[lvl].iter().enumerate() {
                 if word != 0 {
-                    let slot = w * 64 + word.trailing_zeros() as usize;
-                    let mut i = self.heads[lvl * SLOTS + slot];
-                    debug_assert_ne!(i, NIL, "occupancy bit set on an empty slot");
-                    let mut best = self.nodes[i as usize].time;
-                    i = self.nodes[i as usize].next;
-                    while i != NIL {
-                        let n = &self.nodes[i as usize];
-                        if n.time < best {
-                            best = n.time;
-                        }
-                        i = n.next;
-                    }
-                    return Some(best);
+                    let home = lvl * SLOTS + w * 64 + word.trailing_zeros() as usize;
+                    return self.list_min_of(home);
                 }
             }
         }
-        self.overflow_min
+        if self.heads[OVERFLOW as usize] == NIL {
+            return None;
+        }
+        self.list_min_of(OVERFLOW as usize)
     }
 
-    /// Minimum timestamp on the overflow list (cancel of the previous
-    /// minimum pays this scan; overflow traffic is rare by construction).
-    fn scan_overflow_min(&self) -> Option<Cycles> {
+    /// Minimum time on the non-empty list `home`: its cached value, or one
+    /// walk of the list (whose result is cached) when that is unknown.
+    fn list_min_of(&mut self, home: usize) -> Option<Cycles> {
+        debug_assert_ne!(self.heads[home], NIL, "minimum of an empty list");
+        if self.list_min[home].is_none() {
+            self.list_min[home] = self.scan_list_min(home);
+        }
+        self.list_min[home]
+    }
+
+    /// Minimum timestamp on list `home` by a full walk; `None` when empty.
+    fn scan_list_min(&self, home: usize) -> Option<Cycles> {
         let mut best: Option<Cycles> = None;
-        let mut i = self.heads[OVERFLOW as usize];
+        let mut i = self.heads[home];
         while i != NIL {
             let n = &self.nodes[i as usize];
             if best.is_none_or(|b| n.time < b) {
@@ -538,7 +552,6 @@ impl<E> WheelQueue<E> {
     pub(crate) fn assert_invariants(&self) {
         let mut seen = 0usize;
         let mut brute_min: Option<Cycles> = None;
-        let mut overflow_brute: Option<Cycles> = None;
         for home in 0..(LEVELS * SLOTS + 1) {
             let mut i = self.heads[home];
             let mut prev = NIL;
@@ -558,9 +571,6 @@ impl<E> WheelQueue<E> {
                 if brute_min.is_none_or(|b| n.time < b) {
                     brute_min = Some(n.time);
                 }
-                if home == OVERFLOW as usize && overflow_brute.is_none_or(|b| n.time < b) {
-                    overflow_brute = Some(n.time);
-                }
                 seen += 1;
                 prev = i;
                 i = n.next;
@@ -571,10 +581,16 @@ impl<E> WheelQueue<E> {
                 let bit = self.occ[lvl][slot / 64] >> (slot % 64) & 1;
                 assert_eq!(bit == 1, self.heads[home] != NIL, "occ bit wrong at {home}");
             }
+            if self.heads[home] != NIL && self.list_min[home].is_some() {
+                assert_eq!(
+                    self.list_min[home],
+                    self.scan_list_min(home),
+                    "cached minimum of list {home} is neither unknown nor exact"
+                );
+            }
         }
         assert_eq!(seen, self.len, "len out of sync with list contents");
         assert_eq!(self.cached_next, brute_min, "cached_next is not the min");
-        assert_eq!(self.overflow_min, overflow_brute, "overflow_min stale");
         assert_eq!(
             seen + self.free.len(),
             self.nodes.len(),
@@ -744,6 +760,36 @@ mod tests {
         q.assert_invariants();
         assert_eq!(q.peek_time(), Some((1 << 32) + 20));
         assert_eq!(q.pop().map(|(t, _, p)| (t, p)), Some(((1 << 32) + 20, 1)));
+    }
+
+    #[test]
+    fn cancelling_a_slot_minimum_rederives_it() {
+        let mut q = WheelQueue::new();
+        // One level-2 slot holding 70_010, 70_003 (twice) and 70_020.
+        let a = q.schedule(70_010, 0);
+        let b = q.schedule(70_003, 1);
+        let c = q.schedule(70_003, 2);
+        q.schedule(70_020, 3);
+        q.assert_invariants();
+        assert_eq!(q.peek_time(), Some(70_003));
+        // Cancelling one of two tied minima leaves the minimum in place.
+        assert!(q.cancel(b));
+        q.assert_invariants();
+        assert_eq!(q.peek_time(), Some(70_003));
+        assert!(q.cancel(c));
+        q.assert_invariants();
+        assert_eq!(q.peek_time(), Some(70_010));
+        // A later insert into a slot with a known minimum must not lower
+        // it; an earlier one must.
+        q.schedule(70_015, 4);
+        q.assert_invariants();
+        assert_eq!(q.peek_time(), Some(70_010));
+        q.schedule(70_001, 5);
+        q.assert_invariants();
+        assert_eq!(q.peek_time(), Some(70_001));
+        assert!(q.cancel(a));
+        let got = drain(&mut q);
+        assert_eq!(got, vec![(70_001, 5), (70_015, 4), (70_020, 3)]);
     }
 
     #[test]

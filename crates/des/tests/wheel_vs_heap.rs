@@ -225,3 +225,67 @@ fn cancel_during_cascade_stays_in_lockstep() {
         vec![1, 3, 5, 7, 9]
     );
 }
+
+/// Minimum-cancel churn, pinned: the wheel caches the minimum of every
+/// list, and cancelling the event that holds a level-1..3 slot's minimum
+/// is what forces that cache to be re-derived. Each round parks a cluster
+/// of events (few distinct times, so ties are common) in one slot of a
+/// random higher level, cancels whichever live event holds the earliest
+/// time — rotating through tied events — both while the cluster is
+/// parked and after a partial advance has cascaded it down, then drains
+/// the rest. Both backends must agree at every step.
+#[test]
+fn cancelling_slot_minima_stays_in_lockstep() {
+    let mut h: HeapQueue<u64> = HeapQueue::new();
+    let mut w: WheelQueue<u64> = WheelQueue::new();
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = |bound: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % bound
+    };
+    let mut cancels_per_level = [0u32; 4];
+    for round in 0..600u64 {
+        let lvl = 1 + next(3) as u32;
+        let mut live: Vec<(Cycles, EventId)> = Vec::new();
+        for i in 0..8u64 {
+            // Level-`lvl` span ahead, at one of four distinct instants.
+            let at = h.now() + (1u64 << (8 * lvl)) + next(4) * (1u64 << (8 * (lvl - 1)));
+            let id = h.schedule(at, round * 10 + i);
+            assert_eq!(id, w.schedule(at, round * 10 + i), "minted ids diverged");
+            live.push((at, id));
+        }
+        for phase in 0..2 {
+            for _ in 0..1 + next(3) {
+                let Some(t) = h.peek_time() else { break };
+                let tied: Vec<usize> = (0..live.len()).filter(|&i| live[i].0 == t).collect();
+                let (_, id) = live.swap_remove(tied[next(tied.len() as u64) as usize]);
+                assert!(h.cancel(id));
+                assert!(w.cancel(id));
+                if phase == 0 {
+                    cancels_per_level[lvl as usize] += 1;
+                }
+                assert_state_eq(&h, &w);
+            }
+            // Cascade the cluster part of the way down before phase 1.
+            if let Some(t) = h.peek_time() {
+                let to = h.now() + (t - h.now()) / 4 * (1 + next(3));
+                h.advance_to(to);
+                w.advance_to(to);
+                assert_state_eq(&h, &w);
+            }
+        }
+        loop {
+            let (hp, wp) = (h.pop(), w.pop());
+            assert_eq!(hp, wp, "pop streams diverged at round {round}");
+            assert_state_eq(&h, &w);
+            if hp.is_none() {
+                break;
+            }
+        }
+    }
+    for (lvl, &n) in cancels_per_level.iter().enumerate().skip(1) {
+        assert!(n > 200, "only {n} parked-minimum cancels at level {lvl}");
+    }
+}

@@ -7,12 +7,14 @@
 //! predecessor — and on a 256-CPU Phi the heap was mostly timers.
 //!
 //! [`TimerSlots`] stores the single pending deadline per CPU in a flat
-//! array instead: re-arming is a store, disarming is a store, and the next
-//! timer to fire is read in O(1) from a cached earliest-slot index. The
-//! index is updated in O(1) when an arm improves on the cached earliest and
-//! by an O(n_cpus) rescan only when the current earliest is demoted or
-//! cleared — amortized, one scan per firing, exactly what popping a heap of
-//! n_cpus timers would cost, without the per-re-arm churn.
+//! array instead, and the next timer to fire is read in O(1) from a cached
+//! earliest-slot index. The index is updated in O(1) when an arm improves
+//! on the cached earliest. When the current earliest is demoted or cleared,
+//! the new one is read off the root of a min-tournament tree over the
+//! slots (ties to the lower index). Every arm and disarm replays only its
+//! own leaf-to-root path, stopping as soon as a match result cannot have
+//! changed, so a store costs at most O(log n_cpus) and a firing no longer
+//! pays an O(n_cpus) scan.
 
 use nautix_des::Cycles;
 
@@ -28,6 +30,12 @@ pub struct TimerSlots {
     /// Index of a slot holding the minimum deadline (any slot when none are
     /// armed). Invariant: `deadlines[earliest] == min(deadlines)`.
     earliest: usize,
+    /// Min-tournament tree over `size = n.next_power_of_two()` leaves,
+    /// heap-indexed: `winners[size + i] == i`, and each inner node holds the
+    /// slot that wins its subtree (earlier deadline, ties to the lower
+    /// index; padding leaves count as unarmed). `winners[1]` is therefore
+    /// the lowest-index slot holding the minimum deadline.
+    winners: Vec<u32>,
     /// Total arms, for diagnostics (matches the old APIC programmings
     /// counter, summed over CPUs).
     arms: u64,
@@ -37,11 +45,14 @@ impl TimerSlots {
     /// `n` unarmed slots.
     pub fn new(n: usize) -> Self {
         assert!(n >= 1);
-        TimerSlots {
+        let mut t = TimerSlots {
             deadlines: vec![UNARMED; n],
             earliest: 0,
+            winners: Vec::new(),
             arms: 0,
-        }
+        };
+        t.build_tree();
+        t
     }
 
     /// Number of slots.
@@ -56,6 +67,7 @@ impl TimerSlots {
         self.deadlines.resize(n, UNARMED);
         self.earliest = 0;
         self.arms = 0;
+        self.build_tree();
     }
 
     /// True when no slot is armed.
@@ -72,19 +84,21 @@ impl TimerSlots {
         let was_earliest = cpu == self.earliest;
         let improves = deadline <= self.deadlines[self.earliest];
         self.deadlines[cpu] = deadline;
+        self.replay(cpu);
         if improves {
             self.earliest = cpu;
         } else if was_earliest {
             // The earliest slot moved later; another slot may now be first.
-            self.rescan();
+            self.reseat();
         }
     }
 
     /// Disarm `cpu`'s one-shot, if armed.
     pub fn disarm(&mut self, cpu: usize) {
         self.deadlines[cpu] = UNARMED;
+        self.replay(cpu);
         if cpu == self.earliest {
-            self.rescan();
+            self.reseat();
         }
     }
 
@@ -99,7 +113,7 @@ impl TimerSlots {
     /// The next timer to fire: `(cpu, deadline)`, in O(1).
     ///
     /// Ties are deterministic: among equal deadlines the slot most recently
-    /// promoted by [`arm`](Self::arm) (or the lowest index after a rescan)
+    /// promoted by [`arm`](Self::arm) (or else the lowest index)
     /// is reported, and the firing order of simultaneous timers follows
     /// from the deterministic sequence of arm/disarm calls.
     pub fn earliest(&self) -> Option<(usize, Cycles)> {
@@ -127,14 +141,53 @@ impl TimerSlots {
         self.arms
     }
 
-    fn rescan(&mut self) {
-        let mut best = 0;
-        for (i, &d) in self.deadlines.iter().enumerate() {
-            if d < self.deadlines[best] {
-                best = i;
-            }
+    /// Re-derive the cached earliest from the tournament root: the
+    /// lowest-index slot holding the minimum deadline.
+    fn reseat(&mut self) {
+        self.earliest = self.winners[1] as usize;
+    }
+
+    /// Deadline of slot `i`; padding leaves past the last CPU are unarmed.
+    fn key(&self, i: u32) -> Cycles {
+        self.deadlines.get(i as usize).copied().unwrap_or(UNARMED)
+    }
+
+    /// The winner of one match: the earlier deadline, ties to `left` (whose
+    /// subtree always holds the lower indices).
+    fn play(&self, left: u32, right: u32) -> u32 {
+        if self.key(right) < self.key(left) {
+            right
+        } else {
+            left
         }
-        self.earliest = best;
+    }
+
+    /// Lay out the leaves and play every match bottom-up.
+    fn build_tree(&mut self) {
+        let size = self.deadlines.len().next_power_of_two();
+        self.winners.clear();
+        self.winners.resize(2 * size, 0);
+        for i in 0..size {
+            self.winners[size + i] = i as u32;
+        }
+        for k in (1..size).rev() {
+            self.winners[k] = self.play(self.winners[2 * k], self.winners[2 * k + 1]);
+        }
+    }
+
+    /// Replay the matches on `cpu`'s leaf-to-root path after its deadline
+    /// changed. Once a match is still won by the same *other* slot, that
+    /// subtree's result is unchanged and so is every match above it.
+    fn replay(&mut self, cpu: usize) {
+        let mut k = (self.winners.len() / 2 + cpu) / 2;
+        while k >= 1 {
+            let w = self.play(self.winners[2 * k], self.winners[2 * k + 1]);
+            if w == self.winners[k] && w as usize != cpu {
+                break;
+            }
+            self.winners[k] = w;
+            k /= 2;
+        }
     }
 }
 
@@ -251,5 +304,117 @@ mod tests {
             let brute = t.deadlines.iter().copied().filter(|&d| d != UNARMED).min();
             assert_eq!(t.earliest().map(|(_, d)| d), brute);
         }
+    }
+
+    /// Reference model: the same cached earliest index, but re-derived by
+    /// an O(n) linear rescan whenever the earliest slot is demoted or
+    /// cleared — the obviously-correct form of the tie rule.
+    struct LinearSlots {
+        deadlines: Vec<Cycles>,
+        earliest: usize,
+    }
+
+    impl LinearSlots {
+        fn new(n: usize) -> Self {
+            LinearSlots {
+                deadlines: vec![UNARMED; n],
+                earliest: 0,
+            }
+        }
+
+        fn arm(&mut self, cpu: usize, deadline: Cycles) {
+            let was_earliest = cpu == self.earliest;
+            let improves = deadline <= self.deadlines[self.earliest];
+            self.deadlines[cpu] = deadline;
+            if improves {
+                self.earliest = cpu;
+            } else if was_earliest {
+                self.rescan();
+            }
+        }
+
+        fn disarm(&mut self, cpu: usize) {
+            self.deadlines[cpu] = UNARMED;
+            if cpu == self.earliest {
+                self.rescan();
+            }
+        }
+
+        fn earliest(&self) -> Option<(usize, Cycles)> {
+            match self.deadlines[self.earliest] {
+                UNARMED => None,
+                d => Some((self.earliest, d)),
+            }
+        }
+
+        fn rescan(&mut self) {
+            let mut best = 0;
+            for (i, &d) in self.deadlines.iter().enumerate() {
+                if d < self.deadlines[best] {
+                    best = i;
+                }
+            }
+            self.earliest = best;
+        }
+    }
+
+    /// Random arm/disarm over a deadline domain of `domain` values (small,
+    /// so equal deadlines are the common case): the tournament tree must
+    /// report exactly the slot the linear rescan would, ties included.
+    fn lockstep(n: usize, domain: u64, steps: usize, seed: u64) {
+        let mut t = TimerSlots::new(n);
+        let mut r = LinearSlots::new(n);
+        let mut state = seed;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for step in 0..steps {
+            let cpu = next(n as u64) as usize;
+            if next(4) == 0 {
+                t.disarm(cpu);
+                r.disarm(cpu);
+            } else {
+                let d = next(domain);
+                t.arm(cpu, d);
+                r.arm(cpu, d);
+            }
+            assert_eq!(
+                t.earliest(),
+                r.earliest(),
+                "n={n} step={step}: tree and linear rescan disagree"
+            );
+            assert_eq!(t.deadlines, r.deadlines);
+        }
+    }
+
+    #[test]
+    fn tree_matches_linear_rescan_in_lockstep() {
+        for n in [1, 3, 64, 256] {
+            for (domain, seed) in [(2, 0x9E37_79B9u64), (5, 0xD1B5_4A32), (64, 0x2545_F491)] {
+                lockstep(n, domain, 20_000, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn reset_rebuilds_the_tree_for_a_new_size() {
+        let mut t = TimerSlots::new(3);
+        t.arm(2, 7);
+        t.reset(5);
+        assert_eq!(t.earliest(), None);
+        t.arm(4, 9);
+        t.arm(3, 9);
+        t.disarm(3);
+        // The demoted earliest falls back to the lowest index among ties.
+        t.arm(1, 9);
+        t.arm(1, 10);
+        assert_eq!(t.earliest(), Some((4, 9)));
+        t.reset(1);
+        t.arm(0, 3);
+        t.arm(0, 4);
+        assert_eq!(t.earliest(), Some((0, 4)));
     }
 }

@@ -17,32 +17,26 @@
 //! the event-queue's scale (hundreds of thousands of timer-shaped
 //! events), not here.
 
-use std::collections::HashMap;
-use std::hash::Hash;
-
 /// A bounded binary min-heap of `(key, value)` with FIFO tie-break.
 ///
-/// Alongside the heap array it keeps a value→heap-indices map, maintained
-/// through every sift swap, so [`FixedHeap::contains`] is O(1) and
-/// [`FixedHeap::remove`] is O(log n) — no linear scan for the victim's
-/// position. Duplicate values each track their own index. Both structures
-/// are sized once in [`FixedHeap::new`] and never grow past `capacity`
-/// entries, preserving the no-reallocation bound.
+/// The heap array is the whole state: it is sized once in
+/// [`FixedHeap::new`] and never grows past `capacity` entries, preserving
+/// the no-reallocation bound. [`FixedHeap::contains`] and
+/// [`FixedHeap::remove`] scan the queued items — a run queue holds a few
+/// threads, so the scan is a handful of compares over one contiguous
+/// array, cheaper than maintaining any index through every sift swap.
 #[derive(Debug, Clone)]
-pub struct FixedHeap<K: Ord + Copy, V: Copy + Eq + Hash> {
+pub struct FixedHeap<K: Ord + Copy, V: Copy + Eq> {
     items: Vec<(K, u64, V)>,
-    /// value → indices in `items` currently holding it.
-    positions: HashMap<V, Vec<u32>>,
     capacity: usize,
     seq: u64,
 }
 
-impl<K: Ord + Copy, V: Copy + Eq + Hash> FixedHeap<K, V> {
+impl<K: Ord + Copy, V: Copy + Eq> FixedHeap<K, V> {
     /// An empty heap that will never hold more than `capacity` items.
     pub fn new(capacity: usize) -> Self {
         FixedHeap {
             items: Vec::with_capacity(capacity),
-            positions: HashMap::with_capacity(capacity),
             capacity,
             seq: 0,
         }
@@ -68,7 +62,6 @@ impl<K: Ord + Copy, V: Copy + Eq + Hash> FixedHeap<K, V> {
     /// fresh one (trial-to-trial determinism for pooled schedulers).
     pub fn clear(&mut self) {
         self.items.clear();
-        self.positions.clear();
         self.seq = 0;
     }
 
@@ -80,8 +73,6 @@ impl<K: Ord + Copy, V: Copy + Eq + Hash> FixedHeap<K, V> {
         let seq = self.seq;
         self.seq += 1;
         self.items.push((key, seq, value));
-        let idx = (self.items.len() - 1) as u32;
-        self.positions.entry(value).or_default().push(idx);
         self.sift_up(self.items.len() - 1);
         Ok(())
     }
@@ -96,29 +87,21 @@ impl<K: Ord + Copy, V: Copy + Eq + Hash> FixedHeap<K, V> {
         if self.items.is_empty() {
             return None;
         }
-        let last = self.items.len() - 1;
-        self.swap_entries(0, last);
-        let (k, _, v) = self.items.pop().unwrap();
-        self.drop_position(v, last as u32);
+        let (k, _, v) = self.items.swap_remove(0);
         if !self.items.is_empty() {
             self.sift_down(0);
         }
         Some((k, v))
     }
 
-    /// Remove the first-positioned entry whose value equals `value`, in
-    /// O(log n): the position map hands over the victim's heap index (the
-    /// lowest, matching the old array-scan semantics for duplicates), and
-    /// only the sifts remain. Absent values are rejected in O(1).
+    /// Remove the first-positioned entry whose value equals `value` (the
+    /// lowest heap index among duplicates), then restore the heap property
+    /// around the slot the last entry moved into.
     pub fn remove(&mut self, value: V) -> bool {
-        let Some(ps) = self.positions.get(&value) else {
+        let Some(idx) = self.items.iter().position(|&(_, _, v)| v == value) else {
             return false;
         };
-        let idx = *ps.iter().min().expect("position map entry empty") as usize;
-        let last = self.items.len() - 1;
-        self.swap_entries(idx, last);
-        self.items.pop();
-        self.drop_position(value, last as u32);
+        self.items.swap_remove(idx);
         if idx < self.items.len() {
             self.sift_down(idx);
             self.sift_up(idx);
@@ -126,50 +109,9 @@ impl<K: Ord + Copy, V: Copy + Eq + Hash> FixedHeap<K, V> {
         true
     }
 
-    /// Whether `value` is queued. O(1): a lookup in the position map.
+    /// Whether `value` is queued.
     pub fn contains(&self, value: V) -> bool {
-        self.positions.contains_key(&value)
-    }
-
-    /// Swap two heap slots, keeping the position map in sync.
-    fn swap_entries(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
-        }
-        let va = self.items[a].2;
-        let vb = self.items[b].2;
-        self.items.swap(a, b);
-        self.reindex(va, a as u32, b as u32);
-        self.reindex(vb, b as u32, a as u32);
-    }
-
-    /// Retarget one tracked index of `value` from `from` to `to`.
-    fn reindex(&mut self, value: V, from: u32, to: u32) {
-        let ps = self
-            .positions
-            .get_mut(&value)
-            .expect("position map out of sync");
-        let slot = ps
-            .iter_mut()
-            .find(|p| **p == from)
-            .expect("position map out of sync");
-        *slot = to;
-    }
-
-    /// Forget that `value` occupied heap index `at` (it left the heap).
-    fn drop_position(&mut self, value: V, at: u32) {
-        let ps = self
-            .positions
-            .get_mut(&value)
-            .expect("position map out of sync");
-        let i = ps
-            .iter()
-            .position(|&p| p == at)
-            .expect("position map out of sync");
-        ps.swap_remove(i);
-        if ps.is_empty() {
-            self.positions.remove(&value);
-        }
+        self.items.iter().any(|&(_, _, v)| v == value)
     }
 
     /// Iterate entries in unspecified (heap) order.
@@ -187,7 +129,7 @@ impl<K: Ord + Copy, V: Copy + Eq + Hash> FixedHeap<K, V> {
         while i > 0 {
             let parent = (i - 1) / 2;
             if self.less(i, parent) {
-                self.swap_entries(i, parent);
+                self.items.swap(i, parent);
                 i = parent;
             } else {
                 break;
@@ -209,7 +151,7 @@ impl<K: Ord + Copy, V: Copy + Eq + Hash> FixedHeap<K, V> {
             if smallest == i {
                 break;
             }
-            self.swap_entries(i, smallest);
+            self.items.swap(i, smallest);
             i = smallest;
         }
     }
@@ -372,7 +314,7 @@ mod tests {
     #[test]
     fn heap_remove_then_pop_preserves_order() {
         // Interior removals must leave the heap property and FIFO
-        // tie-breaks intact — this is the path the position map serves.
+        // tie-breaks intact (the moved last entry may sift either way).
         let mut h: FixedHeap<u64, usize> = FixedHeap::new(16);
         for (i, k) in [8, 3, 11, 1, 9, 4, 15, 2, 6].iter().enumerate() {
             h.push(*k, i).unwrap();
@@ -405,8 +347,8 @@ mod tests {
     #[test]
     fn heap_random_remove_pop_matches_model() {
         // Drive the heap through thousands of push/remove/pop steps and
-        // check every pop against a brute-force model; any drift in the
-        // position map would surface as a mismatch or an internal panic.
+        // check every pop against a brute-force model; a broken sift after
+        // an interior removal would surface as a mismatch.
         let mut h: FixedHeap<u64, u64> = FixedHeap::new(64);
         let mut model: Vec<(u64, u64)> = Vec::new(); // (key, value); value doubles as seq
         let mut next_v = 0u64;
@@ -452,6 +394,87 @@ mod tests {
             }
         }
         assert_eq!(h.len(), model.len());
+    }
+
+    #[test]
+    fn heap_matches_sorted_model_with_duplicate_values() {
+        // Reference model: every queued `(key, seq, value)` kept sorted by
+        // `(key, seq)` — exactly the heap's pop order. Values are drawn
+        // from a tiny domain so most removals hit duplicates, where the
+        // heap must take the entry at the lowest heap index.
+        const CAP: usize = 48;
+        let mut h: FixedHeap<u64, u64> = FixedHeap::new(CAP);
+        let mut model: Vec<(u64, u64, u64)> = Vec::new();
+        let mut seq = 0u64;
+        let mut duplicate_removals = 0;
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for _ in 0..20_000 {
+            match next(16) {
+                0..=6 => {
+                    let (k, v) = (next(16), next(6));
+                    if model.len() < CAP {
+                        assert_eq!(h.push(k, v), Ok(()));
+                        let at = model.partition_point(|&(mk, ms, _)| (mk, ms) < (k, seq));
+                        model.insert(at, (k, seq, v));
+                        seq += 1;
+                    } else {
+                        assert_eq!(h.push(k, v), Err(v));
+                    }
+                }
+                7..=9 => {
+                    let v = next(8);
+                    let lowest = h.items.iter().position(|&(_, _, x)| x == v);
+                    let victim = lowest.map(|i| h.items[i].1);
+                    if model.iter().filter(|e| e.2 == v).count() > 1 {
+                        duplicate_removals += 1;
+                    }
+                    assert_eq!(h.remove(v), victim.is_some());
+                    if let Some(s) = victim {
+                        model.retain(|e| e.1 != s);
+                        assert!(h.items.iter().all(|e| e.1 != s), "wrong duplicate removed");
+                    }
+                }
+                10 => {
+                    let v = next(8);
+                    assert_eq!(h.contains(v), model.iter().any(|e| e.2 == v));
+                }
+                11 if next(64) == 0 => {
+                    h.clear();
+                    model.clear();
+                    seq = 0;
+                }
+                _ => {
+                    let want = (!model.is_empty()).then(|| model.remove(0));
+                    assert_eq!(h.pop(), want.map(|(k, _, v)| (k, v)));
+                }
+            }
+            assert_eq!(h.len(), model.len());
+            assert_eq!(h.peek(), model.first().map(|&(k, _, v)| (k, v)));
+            let mut snapshot = h.items.clone();
+            snapshot.sort();
+            assert_eq!(snapshot, model, "heap contents diverged from the model");
+        }
+        assert!(duplicate_removals > 1000, "too few duplicate removals");
+    }
+
+    #[test]
+    fn remove_takes_the_lowest_heap_index_among_duplicates() {
+        let mut h: FixedHeap<u64, usize> = FixedHeap::new(8);
+        // Heap array after these pushes: [(1,7), (5,7), (3,9)] — the
+        // key-1 copy of 7 sits at index 0.
+        h.push(5, 7).unwrap();
+        h.push(1, 7).unwrap();
+        h.push(3, 9).unwrap();
+        assert!(h.remove(7));
+        assert_eq!(h.pop(), Some((3, 9)));
+        assert_eq!(h.pop(), Some((5, 7)));
+        assert!(h.is_empty());
     }
 
     #[test]
